@@ -160,10 +160,9 @@ def vec_extend(
     st = enter_extend(machine, consts, v, h, active)
     if iter_hook is None and ReplaySession.enabled(machine):
         # Capture the loop body once per (machine, buffers) and hand the
-        # whole guard loop to the session: with trace trees on it runs
-        # loop-in-kernel (the ``ptest_spec`` guard compiled into the
-        # trace, mismatch tails on compiled side exits); otherwise the
-        # guard branch stays interpreted between per-block replays.
+        # whole guard loop to the session: it runs loop-in-kernel (the
+        # ``ptest_spec`` guard compiled into the trace), and mismatch
+        # tails that break the all-lanes regime are interpreted.
         key = (id(machine), id(pbuf), id(tbuf))
         session = consts.replay.get(key)
         if session is None:

@@ -41,7 +41,6 @@ from repro.eval import records, supervise, timing
 from repro.eval.compare import Tolerances, compare_records, render_drifts
 from repro.eval.parallel import default_jobs
 from repro.eval.reporting import render_table
-from repro.vector.backends import BACKEND_NAMES
 from repro.vector.machine import VectorMachine
 
 
@@ -70,18 +69,6 @@ def _disable_memvec() -> None:
     MemoryHierarchy.use_vectorized_memory = False
 
 
-def _disable_trace_trees() -> None:
-    """Turn the trace-tree tier of the replay JIT off for this process.
-
-    Replay still runs, but captures stay generic straight-line programs:
-    no regime specialisation, no side-exit children, no loop-in-kernel
-    execution.  Same env-var + class-attribute pattern as
-    :func:`_disable_replay`.
-    """
-    os.environ["REPRO_NO_TRACE_TREES"] = "1"
-    VectorMachine.use_trace_trees = False
-
-
 def _set_fleet(width: "int | None") -> None:
     """Pin the fleet width for this process and its workers.
 
@@ -96,29 +83,6 @@ def _set_fleet(width: "int | None") -> None:
     os.environ["REPRO_FLEET"] = str(width)
     VectorMachine.use_fleet = width
 
-
-def _set_jit_backend(name: "str | None") -> None:
-    """Pin the replay-JIT codegen backend for this process and workers.
-
-    Same env-var + class-attribute pattern as :func:`_set_fleet`; the
-    default (``numpy-opt``) applies when the flag is absent.
-    """
-    if name is None:
-        return
-    os.environ["REPRO_JIT_BACKEND"] = name
-    VectorMachine.jit_backend = name
-
-
-def add_jit_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jit-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="codegen backend for replay kernels (default: "
-        "$REPRO_JIT_BACKEND, else numpy-opt; 'numba' falls back to "
-        "numpy-opt with a warning when numba is not installed; results "
-        "are bit-identical across backends)",
-    )
 
 #: Experiment id -> (callable, title, kwargs-name for scaling or None).
 EXPERIMENTS = {
@@ -193,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "programs (results are bit-identical either way)",
     )
     parser.add_argument(
-        "--no-trace-trees",
-        action="store_true",
-        help="disable the trace-tree tier of the replay JIT (side-exit "
-        "children, loop-in-kernel); replay still runs straight-line "
-        "programs, and results are bit-identical either way",
-    )
-    parser.add_argument(
         "--no-memvec",
         action="store_true",
         help="disable the vectorized memory-model engine (phase-split "
@@ -214,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="advance N read-pairs in lockstep through the fleet "
         "executor, fusing identical replay blocks across pairs "
-        "(default: $REPRO_FLEET, else off; per-pair results are "
-        "bit-identical at every width)",
+        "(default: $REPRO_FLEET, else off; every width >= 1 runs each "
+        "pair on a fresh machine and gives identical results, which "
+        "differ from the default shared-machine run)",
     )
-    add_jit_backend_argument(parser)
     add_supervise_arguments(parser)
     return parser
 
@@ -366,7 +323,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default=None,
         help="run a subset (repeatable); choose from "
         "stride_sweep, random_gather, wfa_extend, fig4_cell, "
-        "replay_extend, replay_ss, fleet_extend, fleet_fig4, trace_tree, "
+        "replay_extend, replay_ss, fleet_extend, fleet_fig4, "
         "memvec_gather, serve (service-level load points; "
         "not in the default set — see results/BENCH_serve.json)",
     )
@@ -374,7 +331,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit 1 if statistics diverge or a gated workload "
-        "(stride_sweep, the replay/trace-tree workloads, fleet_extend) "
+        "(stride_sweep, the replay workloads, fleet_extend) "
         "regressed",
     )
     parser.add_argument(
@@ -408,12 +365,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "(the replay_* workloads still toggle it per leg)",
     )
     parser.add_argument(
-        "--no-trace-trees",
-        action="store_true",
-        help="disable the trace-tree JIT tier for the default execution "
-        "paths (the trace_tree workload still toggles it per leg)",
-    )
-    parser.add_argument(
         "--no-memvec",
         action="store_true",
         help="disable the vectorized memory-model engine for the default "
@@ -425,10 +376,9 @@ def build_bench_parser() -> argparse.ArgumentParser:
         choices=sorted(bench._LEGS),
         default=None,
         help="override the toggled dimension for every selected workload "
-        "(e.g. --dimension backend reruns replay workloads as "
-        "generated-numpy vs the process-default backend)",
+        "(e.g. --dimension memvec reruns fleet_extend as the serial "
+        "hierarchy walk vs the vectorized memory model)",
     )
-    add_jit_backend_argument(parser)
     return parser
 
 
@@ -437,11 +387,8 @@ def bench_main(argv: "list[str]") -> int:
     args = build_bench_parser().parse_args(argv)
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
-    _set_jit_backend(args.jit_backend)
     if args.profile is not None:
         print(bench.profile_bench(top=args.profile, quick=args.quick, only=args.only))
         return 0
@@ -571,7 +518,6 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", "-v", action="store_true")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--no-replay", action="store_true")
-    parser.add_argument("--no-trace-trees", action="store_true")
     parser.add_argument(
         "--no-memvec",
         action="store_true",
@@ -579,7 +525,6 @@ def build_run_parser() -> argparse.ArgumentParser:
         "per-request cache walk; bit-identical results)",
     )
     parser.add_argument("--fleet", type=int, default=None, metavar="N")
-    add_jit_backend_argument(parser)
     parser.add_argument(
         "--fault-plan", metavar="SPEC", default=None,
         help="inject faults into the resumed run too (testing only)",
@@ -597,12 +542,9 @@ def run_main(argv: "list[str]") -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
     _set_fleet(args.fleet)
-    _set_jit_backend(args.jit_backend)
     meta = supervise.read_meta(args.resume)
     experiment = meta.get("experiment")
     if experiment != "all" and experiment not in EXPERIMENTS:
@@ -749,12 +691,9 @@ def main(argv: "list[str] | None" = None) -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
     _set_fleet(args.fleet)
-    _set_jit_backend(args.jit_backend)
     if supervise_cfg is not None:
         return _run_supervised(
             supervise_cfg,

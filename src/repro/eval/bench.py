@@ -55,12 +55,8 @@ The membatch workloads compare ``use_batched_memory`` off vs on (replay
 pinned off on both legs so it cannot blur the comparison); the replay
 workloads compare ``use_replay`` off vs on with batched memory pinned
 on; the fleet workloads compare fleet width 1 vs 64 with batched memory
-and replay pinned on for both legs; the ``backend`` dimension (opt in
-via ``--dimension backend``) compares the plain generated-numpy codegen
-backend against the process default (``numpy-opt``, or whatever
-``--jit-backend`` pinned) with everything else held at the replay fast
-path.  In every cell ``serial_s`` is the slow leg and ``batched_s`` the
-fast leg, whatever the toggled dimension.
+and replay pinned on for both legs.  In every cell ``serial_s`` is the
+slow leg and ``batched_s`` the fast leg, whatever the toggled dimension.
 
 Every cell also reports the memory-model split (``mem_model_serial_s``
 / ``mem_model_batched_s`` and their share of the corresponding
@@ -74,14 +70,7 @@ Each cell also splits wall-clock into compile and steady-state time:
 kernel-compile seconds from each timed round, and ``speedup_steady``
 compares only those — the number :func:`check_regression` gates on,
 since compile cost is a one-time warmup charge the kernel cache
-amortises away across processes.  Cells where both legs run compiled
-kernels additionally carry the kernel-net split
-(``kernel_serial_s``/``kernel_batched_s``/``speedup_kernel``): in-kernel
-wall time minus the memory-model seconds spent simulating the cache
-hierarchy from inside those kernels.  For the ``backend`` dimension the
-gates read ``speedup_kernel`` — the hierarchy simulation is shared by
-every backend, so only the generated-kernel time carries the codegen
-signal.
+amortises away across processes.
 """
 
 from __future__ import annotations
@@ -131,7 +120,6 @@ _SCALES = {
     "replay_ss": (24, 4),
     "fleet_extend": (20, 5),
     "fleet_fig4": (24, 4),
-    "trace_tree": (40, 8),
     "memvec_gather": (600, 90),
 }
 
@@ -141,25 +129,20 @@ _DIMENSIONS = {
     "replay_ss": "replay",
     "fleet_extend": "fleet",
     "fleet_fig4": "fleet",
-    "trace_tree": "tracetree",
     "memvec_gather": "memvec",
 }
 
-#: dimension -> ((slow label, batched, replay, fleet, trees, backend),
-#: (fast ...)).  ``trees=None`` leaves ``use_trace_trees`` at its
-#: process default so the legacy dimensions keep measuring exactly
-#: their own toggle; ``backend=None`` likewise leaves ``jit_backend``
-#: at the process default (``numpy-opt`` unless ``--jit-backend``
-#: pinned something else), so the ``backend`` dimension's fast leg
-#: measures whatever backend the process runs with.
+#: dimension -> ((slow label, batched, replay, fleet[, memvec]),
+#: (fast ...)).  An omitted memvec leaves
+#: ``MemoryHierarchy.use_vectorized_memory`` at its process default.
 _LEGS = {
     "membatch": (
-        ("serial", False, False, 0, None, None),
-        ("batched", True, False, 0, None, None),
+        ("serial", False, False, 0),
+        ("batched", True, False, 0),
     ),
     "replay": (
-        ("serial", True, False, 0, None, None),
-        ("batched", True, True, 0, None, None),
+        ("serial", True, False, 0),
+        ("batched", True, True, 0),
     ),
     # Both fleet legs pin the memory-model engine off: pattern replay
     # accelerates the width-1 fibers' per-machine batches far more than
@@ -168,16 +151,8 @@ _LEGS = {
     # fleet width.  The memvec dimension (and the conformance grid's
     # memvec x fleet axis) covers that interaction.
     "fleet": (
-        ("serial", True, True, 1, None, None, False),
-        ("batched", True, True, 64, None, None, False),
-    ),
-    "tracetree": (
-        ("serial", True, True, 0, False, None),
-        ("batched", True, True, 0, True, None),
-    ),
-    "backend": (
-        ("serial", True, True, 0, None, "numpy"),
-        ("batched", True, True, 0, None, None),
+        ("serial", True, True, 1, False),
+        ("batched", True, True, 64, False),
     ),
     # Both memvec legs keep the whole fast stack (batched memory,
     # replay, fleet width 64) so the only difference is the memory
@@ -186,8 +161,8 @@ _LEGS = {
     # single-machine workloads and turns fleet_extend under
     # ``--dimension memvec`` into the fleet-coalescing measurement.
     "memvec": (
-        ("serial", True, True, 64, None, None, False),
-        ("batched", True, True, 64, None, None, True),
+        ("serial", True, True, 64, False),
+        ("batched", True, True, 64, True),
     ),
 }
 
@@ -200,15 +175,11 @@ class _PathPin:
         batched: bool,
         replay: bool,
         fleet: int = 0,
-        trees: "bool | None" = None,
-        backend: "str | None" = None,
         memvec: "bool | None" = None,
     ) -> None:
         self.batched = batched
         self.replay = replay
         self.fleet = fleet
-        self.trees = trees
-        self.backend = backend
         self.memvec = memvec
 
     def __enter__(self) -> None:
@@ -216,17 +187,11 @@ class _PathPin:
             VectorMachine.use_batched_memory,
             VectorMachine.use_replay,
             VectorMachine.use_fleet,
-            VectorMachine.use_trace_trees,
-            VectorMachine.jit_backend,
             MemoryHierarchy.use_vectorized_memory,
         )
         VectorMachine.use_batched_memory = self.batched
         VectorMachine.use_replay = self.replay
         VectorMachine.use_fleet = self.fleet
-        if self.trees is not None:
-            VectorMachine.use_trace_trees = self.trees
-        if self.backend is not None:
-            VectorMachine.jit_backend = self.backend
         if self.memvec is not None:
             MemoryHierarchy.use_vectorized_memory = self.memvec
 
@@ -234,9 +199,7 @@ class _PathPin:
         VectorMachine.use_batched_memory = self._saved[0]
         VectorMachine.use_replay = self._saved[1]
         VectorMachine.use_fleet = self._saved[2]
-        VectorMachine.use_trace_trees = self._saved[3]
-        VectorMachine.jit_backend = self._saved[4]
-        MemoryHierarchy.use_vectorized_memory = self._saved[5]
+        MemoryHierarchy.use_vectorized_memory = self._saved[3]
 
 
 class _BatchedPath(_PathPin):
@@ -326,43 +289,6 @@ def _replay_extend(reps: int):
             machine, pbuf, tbuf, v, h, machine.ptrue(64),
             length, length, consts=consts,
         )
-    machine.barrier()
-    return machine.snapshot()
-
-
-class _TTState:
-    __slots__ = ("v", "h", "inb")
-
-
-def _trace_tree(reps: int):
-    # Divergence-heavy carried-predicate loop: per-lane retirement
-    # bounds are strongly staggered, so after a short all-active prefix
-    # the loop spends most iterations with a partially-active predicate
-    # — the WFA extend mismatch-tail shape.  The body is pure masked
-    # ALU work (no per-iteration memory traffic), so the measurement
-    # isolates what the trace trees change: the all-true prefix runs
-    # the specialised root, the divergent tail runs the compiled
-    # side-exit child, and both run as loop-in-kernel calls instead of
-    # one guard + one replay dispatch per iteration.
-    machine = make_machine(SystemConfig())
-    lanes = machine.lanes(64)
-    bounds = machine.from_values(60 + 40 * np.arange(lanes), 64)
-
-    def body(mm, ss):
-        step = mm.add(ss.v, 3, pred=ss.inb)
-        cap = mm.min(step, bounds, pred=ss.inb)
-        gain = mm.sub(cap, ss.v, pred=ss.inb)
-        ss.h = mm.add(ss.h, gain, pred=ss.inb)
-        ss.v = cap
-        ss.inb = mm.cmp("lt", ss.v, bounds, pred=ss.inb)
-
-    session = ReplaySession(machine, body, name="trace-tree-bench")
-    for rep in range(reps):
-        st = _TTState()
-        st.v = machine.from_values((rep * 7) % 19 + np.arange(lanes), 64)
-        st.h = machine.from_values(np.zeros(lanes, dtype=np.int64), 64)
-        st.inb = machine.ptrue(64)
-        session.run_loop(st)
     machine.barrier()
     return machine.snapshot()
 
@@ -520,9 +446,6 @@ _WORKLOADS = {
     # the fused cross-pair executor), batched memory and replay on.
     "fleet_extend": _fleet_extend,
     "fleet_fig4": _fleet_fig4,
-    # The trace-tree workload runs replay-without-trees vs the tiered
-    # trace-tree JIT on a divergence-heavy extend loop.
-    "trace_tree": _trace_tree,
     # The memvec workload runs the serial per-request hierarchy walk vs
     # the vectorized memory-model engine (pattern replay) on a
     # repeated-pattern gather stream.
@@ -546,15 +469,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
     are subtracted out to give the steady-state times
     (``steady_*_s``/``speedup_steady``) alongside the raw wall-clock
     ones.  ``dimension`` picks which toggle the legs differ in.
-
-    When both legs spend measurable time inside compiled kernels the
-    cell additionally reports the *kernel-net* split: per leg, the
-    replay meter's in-kernel seconds minus the memory-model seconds
-    spent simulating the cache hierarchy inside those kernels — the
-    time attributable to the generated code itself.
-    ``speedup_kernel`` is their ratio, the number that isolates what a
-    codegen backend changed (the hierarchy simulation is shared by all
-    backends and would otherwise dilute it).
     """
     legs = _LEGS[dimension]
     warm_start = time.perf_counter()
@@ -564,7 +478,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
     warmup_s = time.perf_counter() - warm_start
     timings = {}
     steady = {}
-    kernel_net = {}
     mem_model = {}
     kernel_run = {}
     stats = {}
@@ -582,13 +495,10 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
                 meter = REPLAY_METER.delta(meter_before)
             compile_total += compiled
             steady_elapsed = max(elapsed - compiled, 1e-9)
-            knet = meter["kernel_run_s"] - meter["mem_model_s"]
             if label not in timings or elapsed < timings[label]:
                 timings[label] = elapsed
             if label not in steady or steady_elapsed < steady[label]:
                 steady[label] = steady_elapsed
-            if label not in kernel_net or knet < kernel_net[label]:
-                kernel_net[label] = knet
             # Keep the mem-model seconds and the kernel seconds from
             # the same (best) round so the reported share is internally
             # consistent.
@@ -627,15 +537,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
         cell["speedup_mem_model"] = round(
             mem_model["serial"] / mem_model["batched"], 3
         )
-    # The kernel-net split only means something when both legs actually
-    # ran compiled kernels (an interpreted or meter-resetting leg shows
-    # ~0 or garbage) — degenerate cells simply omit the keys.
-    if kernel_net["serial"] > 1e-4 and kernel_net["batched"] > 1e-4:
-        cell["kernel_serial_s"] = round(kernel_net["serial"], 4)
-        cell["kernel_batched_s"] = round(kernel_net["batched"], 4)
-        cell["speedup_kernel"] = round(
-            kernel_net["serial"] / kernel_net["batched"], 3
-        )
     return cell
 
 
@@ -650,8 +551,8 @@ def run_bench(
     ``quick`` shrinks every workload's repetition count (the CI smoke
     setting); ``only`` restricts to a subset of workload names;
     ``dimension`` overrides every selected workload's toggled dimension
-    (``--dimension backend`` reruns e.g. replay_extend as plain
-    generated-numpy vs the process-default backend).
+    (``--dimension memvec`` reruns e.g. fleet_extend as the serial
+    hierarchy walk vs the vectorized memory model).
     """
     names = list(_WORKLOADS) if not only else list(only)
     unknown = [n for n in names if n not in _WORKLOADS and n != SERVE_WORKLOAD]
@@ -730,7 +631,7 @@ def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
         name
         for name, cell in report["workloads"].items()
         if (
-            cell.get("dimension") in ("replay", "tracetree", "backend", "memvec")
+            cell.get("dimension") in ("replay", "memvec")
             or name == "fleet_extend"
         )
         and name != gate
@@ -740,14 +641,8 @@ def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
         if cell is None:
             continue
         # Gate on the steady-state ratio when the report carries it:
-        # compile time is a warmup charge, not a regression.  Backend
-        # cells gate on the kernel-net ratio instead — both legs run
-        # the same shared simulator, so only the generated-kernel time
-        # carries the backend's signal.
-        if cell.get("dimension") == "backend" and "speedup_kernel" in cell:
-            speedup = cell["speedup_kernel"]
-        else:
-            speedup = cell.get("speedup_steady", cell["speedup"])
+        # compile time is a warmup charge, not a regression.
+        speedup = cell.get("speedup_steady", cell["speedup"])
         if speedup < 1.0:
             failures.append(
                 f"{name}: batched path slower than serial "
@@ -790,12 +685,8 @@ def check_regression(
             continue
         # Compare steady-state speedups when both reports carry them —
         # compile time varies with the kernel-cache temperature and
-        # would otherwise dominate the quick-mode ratio.  Backend cells
-        # compare kernel-net speedups for the same reason check_report
-        # gates them on it.
-        if "speedup_kernel" in cell and "speedup_kernel" in ref:
-            key = "speedup_kernel"
-        elif "speedup_steady" in cell and "speedup_steady" in ref:
+        # would otherwise dominate the quick-mode ratio.
+        if "speedup_steady" in cell and "speedup_steady" in ref:
             key = "speedup_steady"
         else:
             key = "speedup"
@@ -821,7 +712,7 @@ def render_report(report: dict) -> str:
         dim = cell.get("dimension")
         tag = (
             f" ({dim})"
-            if dim in ("replay", "fleet", "backend", "memvec", "serve")
+            if dim in ("replay", "fleet", "memvec", "serve")
             else ""
         )
         if dim == "serve":
@@ -830,9 +721,6 @@ def render_report(report: dict) -> str:
                 f"aps, p50 {cell.get('p50_ms', 0):.0f}ms "
                 f"p99 {cell.get('p99_ms', 0):.0f}ms]"
             )
-        kernel = cell.get("speedup_kernel")
-        if kernel is not None:
-            tag += f" [kernel {kernel:.2f}x]"
         mem = cell.get("speedup_mem_model")
         if mem is not None:
             tag += f" [mem {mem:.2f}x]"

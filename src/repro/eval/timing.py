@@ -9,16 +9,15 @@ instruction counts and the fused-block hit rate from
 :data:`repro.vector.program.REPLAY_METER`).  When the fleet executor is
 active the same meter window yields the fleet occupancy line: pair-rows
 per fused batch, the serial-fallback share, and the retirement count
-(see ``ReplayMeter.fleet_*``).  With trace trees on, the window also
-reports the tree shape: compiled depth, side-exit count and the share
-of exits served by a compiled child trace.  When the replay JIT emitted
-kernels inside the window, a codegen segment reports the backend that
-ran, the compile-vs-run wall-time split (``compile_s`` vs
+(see ``ReplayMeter.fleet_*``).  When regime guards failed or loop
+kernels ran, the window also reports the side-exit count (blocks
+interpreted after a failed regime guard) and the loop-kernel calls.
+When the replay JIT emitted kernels inside the window, a codegen
+segment reports the compile-vs-run wall-time split (``compile_s`` vs
 ``kernel_run_s``, with the memory-hierarchy simulation share
-``mem_model_s`` broken out), kernel-cache traffic, fallback downgrades,
-and arena growth.  The point is a stable
-baseline for future perf work — the numbers land in one place instead of
-being re-derived ad hoc.
+``mem_model_s`` broken out), kernel-cache traffic, and arena growth.
+The point is a stable baseline for future perf work — the numbers land
+in one place instead of being re-derived ad hoc.
 """
 
 from __future__ import annotations
@@ -101,19 +100,6 @@ class ExperimentTiming:
         )
         return r.get("memvec_pattern_hits", 0) / total if total else 0.0
 
-    @property
-    def tree_depth(self) -> int:
-        """Deepest compiled trace-tree node in this window (0 = none)."""
-        nodes = (self.replay or {}).get("tree_nodes") or {}
-        return max(nodes) if nodes else 0
-
-    @property
-    def side_exit_hit_rate(self) -> float:
-        """Share of root-guard side exits served by a compiled child."""
-        r = self.replay or {}
-        exits = r.get("side_exits", 0)
-        return r.get("side_exit_replays", 0) / exits if exits else 0.0
-
     def summary(self) -> str:
         """One-line report, appended to the table footer under --verbose."""
         cache = self.cache or {}
@@ -143,25 +129,20 @@ class ExperimentTiming:
                 else ""
             )
             + (
-                f" | trees: depth {self.tree_depth}, "
-                f"{replay.get('side_exits', 0)} side exits "
-                f"({self.side_exit_hit_rate:.0%} on compiled children), "
+                f" | {replay.get('side_exits', 0)} side exits, "
                 f"{replay.get('loop_calls', 0)} loop-kernel calls"
-                if replay.get("tree_nodes") or replay.get("side_exits", 0)
+                if replay.get("side_exits", 0) or replay.get("loop_calls", 0)
                 else ""
             )
             + (
-                f" | codegen[{replay.get('backend') or '?'}]: "
-                f"{replay.get('kernel_compiles', 0)} compiles "
+                f" | codegen: {replay.get('kernel_compiles', 0)} compiles "
                 f"({replay.get('compile_s', 0.0):.2f}s), "
                 f"{replay.get('kernel_cache_hits', 0)} kernel-cache hits, "
-                f"{replay.get('backend_fallbacks', 0)} fallbacks, "
                 f"arena +{replay.get('arena_bytes', 0) / 1024:.0f} KiB, "
                 f"kernels {replay.get('kernel_run_s', 0.0):.2f}s run "
                 f"(mem model {replay.get('mem_model_s', 0.0):.2f}s, "
                 f"{self.mem_model_share:.0%} of run)"
-                if replay.get("backends")
-                or replay.get("kernel_cache_hits", 0)
+                if replay.get("kernel_cache_hits", 0)
                 or replay.get("kernel_compiles", 0)
                 else ""
             )
@@ -290,9 +271,8 @@ def render_report(records: "list[ExperimentTiming] | None" = None) -> str:
             "replay_hit_rate": round(r.replay_hit_rate, 3),
             "fleet_pairs": r.replay.get("fleet_pairs", 0),
             "fleet_occ": round(r.fleet_occupancy, 1),
-            "tree_depth": r.tree_depth,
-            "exit_hit_rate": round(r.side_exit_hit_rate, 3),
-            "backend": r.replay.get("backend", ""),
+            "side_exits": r.replay.get("side_exits", 0),
+            "loop_calls": r.replay.get("loop_calls", 0),
             "kernel_compiles": r.replay.get("kernel_compiles", 0),
             "kcache_hits": r.replay.get("kernel_cache_hits", 0),
             "kernel_run_s": round(r.replay.get("kernel_run_s", 0.0), 2),

@@ -72,8 +72,6 @@ def _toggles_snapshot() -> tuple:
         VectorMachine.use_batched_memory,
         VectorMachine.use_replay,
         VectorMachine.use_fleet,
-        VectorMachine.use_trace_trees,
-        VectorMachine.jit_backend,
         MemoryHierarchy.use_vectorized_memory,
     )
 
@@ -86,8 +84,6 @@ def _apply_toggles(toggles: tuple) -> None:
         VectorMachine.use_batched_memory,
         VectorMachine.use_replay,
         VectorMachine.use_fleet,
-        VectorMachine.use_trace_trees,
-        VectorMachine.jit_backend,
         MemoryHierarchy.use_vectorized_memory,
     ) = toggles
 

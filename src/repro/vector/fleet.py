@@ -85,27 +85,14 @@ def session_step(session, st) -> FleetStep:
     m = session.machine
     prog = None
     if not session._broken and m.use_replay and m.use_batched_memory:
-        # The program matching st's current regime: the specialised root
-        # when its regime holds, the compiled side-exit child when not.
-        # Buckets key on program identity, so rows sitting on a side
-        # exit batch with each other, not with the root's fast path.
         prog = session.fleet_prog(st)
     if prog is None:
-        # Capture / broken / replay-off / un-compiled side exit: serial,
-        # so step() can profile, capture and meter the execution.
+        # Capture / broken / replay-off / regime side exit: serial, so
+        # step() can capture, interpret and meter the execution.
         return FleetStep(m, run=lambda: session.step(st))
-
-    is_exit = prog is not session._prog
-    root = session._root
 
     def accept(outs):
         st.v, st.h, st.inb = outs
-        if is_exit:
-            # Fused rows served by the side-exit child trace carry the
-            # same exit meters as the serial step() path.
-            REPLAY_METER.side_exits += 1
-            REPLAY_METER.side_exit_replays += 1
-            root.exit_count += 1
 
     return FleetStep(
         m,
@@ -187,16 +174,12 @@ def drive_fleet(fibers):
                 # register with different categories (e.g. loaded-from-
                 # memory on a chunk's first step, ALU-produced after),
                 # and stall attribution bakes the category per input.
-                # ... and by the emitting backend, so fused execution
-                # composes with mixed-backend fleets (tree-node identity
-                # is already part of ``source``).
                 key = (
                     step.prog.source,
-                    step.prog.backend,
                     tuple(r.category for r in step.regs),
                 )
                 buckets.setdefault(key, []).append(i)
-        for (src, _backend, _cats), idxs in buckets.items():
+        for (src, _cats), idxs in buckets.items():
             if len(idxs) < 2:
                 fusable_serial.update(idxs)
                 serial.extend(idxs)

@@ -35,7 +35,7 @@ class MemModelClock:
     """Accumulated wall seconds spent inside the memory-latency model.
 
     Fed by every indexed-memory issue (both the generic entry and the
-    backend-specialized fast calls) so timing reports can split the
+    specialized fast calls the kernel emitter binds) so timing reports can split the
     generated kernels' own compute from shared simulator work.
     """
 
@@ -188,18 +188,6 @@ class VectorMachine:
     #: var also reaches spawned worker processes).
     use_replay = os.environ.get("REPRO_NO_REPLAY", "") not in ("1", "true", "yes")
 
-    #: Grow each replayed block into a trace tree: the first capture is
-    #: specialised to its entry predicate regime, regime-guard failures
-    #: become compiled side-exit (child) traces, and standalone guard
-    #: loops run loop-in-kernel (see ``ReplaySession.run_loop``).  All
-    #: of it is bit-identical in statistics, clock and stall
-    #: attribution (enforced by the conformance grid and
-    #: ``repro bench --check``); disable with ``--no-trace-trees`` or
-    #: ``REPRO_NO_TRACE_TREES=1`` (the env var also reaches spawned
-    #: worker processes).  Only active while ``use_replay`` is on.
-    use_trace_trees = os.environ.get("REPRO_NO_TRACE_TREES", "") not in (
-        "1", "true", "yes")
-
     #: Attach an event tracer to every machine at construction
     #: (``REPRO_TRACE=1``).  Tracing is observability only — statistics,
     #: clock and results are bit-identical with it on or off (enforced
@@ -218,19 +206,6 @@ class VectorMachine:
     #: is bit-identical per pair to ``use_fleet=1``.  Set with ``--fleet``
     #: or ``REPRO_FLEET`` (the env var reaches worker processes).
     use_fleet = int(os.environ.get("REPRO_FLEET", "0") or 0)
-
-    #: Codegen backend for compiled replay kernels
-    #: (:mod:`repro.vector.backends`): ``numpy`` emits the neutral
-    #: source verbatim, ``numpy-opt`` (the default) runs the source
-    #: optimizer (CSE, dead-temporary elimination, scratch-arena
-    #: ``out=`` rewriting, guard fusion), ``numba`` lifts ALU segments
-    #: through ``@njit`` when numba is importable and falls back to
-    #: ``numpy-opt`` (metered) when it is not.  Every backend is
-    #: bit-identical in statistics, clock and stall attribution
-    #: (enforced by the conformance grid's backend axis and
-    #: ``repro bench --check``).  Set with ``--jit-backend`` or
-    #: ``REPRO_JIT_BACKEND`` (the env var reaches worker processes).
-    jit_backend = os.environ.get("REPRO_JIT_BACKEND", "") or "numpy-opt"
 
     def __init__(
         self,
@@ -928,8 +903,8 @@ class VectorMachine:
         / ``access_batch_max`` calls, not the address-list preparation)
         is accumulated into :data:`MEM_MODEL_CLOCK` so timing reports
         can split generated-kernel compute from memory-model
-        simulation; the specialized per-buffer entries emitted by the
-        ``numpy-opt`` backend draw the same boundary.
+        simulation; the specialized per-buffer entries bound by the
+        kernel emitter draw the same boundary.
         """
         if not self.use_batched_memory:
             t0 = _pc()

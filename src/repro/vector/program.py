@@ -35,7 +35,6 @@ code.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from time import perf_counter as _pc
 
 from repro.errors import MachineError
-from repro.vector.backends import KernelIR, resolve_backend
+from repro.vector.backends import KernelIR, emit
 from repro.vector.machine import (
     _BINOPS,
     _CMPOPS,
@@ -78,17 +77,11 @@ class ReplayMeter:
     time one pair retired from its fleet — an under-filled fleet shows
     up as low occupancy and early retirements.
 
-    The trace-tree fields meter the tiered JIT: ``total_blocks`` counts
-    every block execution routed through a replay-aware site, and the
-    conservation invariant ``captures + replayed_blocks +
-    interpreted_blocks + broken == total_blocks`` must hold at all
-    times.  ``side_exits`` counts regime-guard failures on a compiled
-    root trace, ``side_exit_traces`` the child traces compiled for
-    those exits, ``side_exit_replays`` the side exits whose pending
-    block ran as a compiled child trace instead of dropping to the
-    interpreter, ``warmup_skips`` the executions interpreted while a
-    block (or exit) was still below its warmup threshold, and
-    ``tree_nodes`` histograms compiled nodes by tree depth (0 = root).
+    ``total_blocks`` counts every block execution routed through a
+    replay-aware site, and the conservation invariant ``captures +
+    replayed_blocks + interpreted_blocks + broken == total_blocks`` must
+    hold at all times.  ``side_exits`` counts regime-guard failures on a
+    compiled program (each one interprets its pending block).
     ``loop_calls``/``loop_iters`` meter the loop-in-kernel path: one
     call drives many guard+body iterations inside a single compiled
     function.
@@ -97,9 +90,8 @@ class ReplayMeter:
     __slots__ = (
         "captures", "replayed_blocks", "replayed_instructions",
         "interpreted_blocks", "interpreted_instructions", "broken",
-        "total_blocks", "side_exits", "side_exit_traces",
-        "side_exit_replays", "warmup_skips", "loop_calls", "loop_iters",
-        "kernel_run_s", "tree_nodes",
+        "total_blocks", "side_exits", "loop_calls", "loop_iters",
+        "kernel_run_s",
         "fleet_batches", "fleet_pairs", "fleet_serial", "fleet_singleton",
         "fleet_retired",
     )
@@ -126,14 +118,10 @@ class ReplayMeter:
         self.broken = 0
         self.total_blocks = 0
         self.side_exits = 0
-        self.side_exit_traces = 0
-        self.side_exit_replays = 0
-        self.warmup_skips = 0
         self.loop_calls = 0
         self.loop_iters = 0
         self.kernel_run_s = 0.0
         MEM_MODEL_CLOCK.reset()
-        self.tree_nodes: dict = {}
         self.fleet_batches = 0
         self.fleet_pairs = 0
         self.fleet_serial = 0
@@ -150,12 +138,9 @@ class ReplayMeter:
             "memvec_patterns_compiled": MEMVEC_METER.patterns_compiled,
             "memvec_pattern_declined": MEMVEC_METER.pattern_declined,
             "memvec_vector_rows": MEMVEC_METER.vector_rows,
-            "backend": CODEGEN_METER.backend,
-            "backends": dict(CODEGEN_METER.backends),
             "kernel_cache_hits": CODEGEN_METER.kernel_cache_hits,
             "kernel_cache_misses": CODEGEN_METER.kernel_cache_misses,
             "kernel_compiles": CODEGEN_METER.kernel_compiles,
-            "backend_fallbacks": CODEGEN_METER.backend_fallbacks,
             "compile_s": CODEGEN_METER.compile_s,
             "arena_bytes": ARENA.nbytes,
             "captures": self.captures,
@@ -166,14 +151,10 @@ class ReplayMeter:
             "broken": self.broken,
             "total_blocks": self.total_blocks,
             "side_exits": self.side_exits,
-            "side_exit_traces": self.side_exit_traces,
-            "side_exit_replays": self.side_exit_replays,
-            "warmup_skips": self.warmup_skips,
             "loop_calls": self.loop_calls,
             "loop_iters": self.loop_iters,
             "kernel_run_s": self.kernel_run_s,
             "mem_model_s": MEM_MODEL_CLOCK.s,
-            "tree_nodes": dict(self.tree_nodes),
             "fleet_batches": self.fleet_batches,
             "fleet_pairs": self.fleet_pairs,
             "fleet_serial": self.fleet_serial,
@@ -184,9 +165,7 @@ class ReplayMeter:
     def delta(self, before: dict) -> dict:
         out = {}
         for k, v in self.snapshot().items():
-            if isinstance(v, str):
-                out[k] = v
-            elif isinstance(v, dict):
+            if isinstance(v, dict):
                 prev = before.get(k, {})
                 d = {kk: vv - prev.get(kk, 0) for kk, vv in v.items()}
                 out[k] = {kk: vv for kk, vv in d.items() if vv}
@@ -203,16 +182,6 @@ class ReplayMeter:
     def hit_rate(self) -> float:
         total = self.replayed_blocks + self.interpreted_blocks + self.captures
         return self.replayed_blocks / total if total else 0.0
-
-    @property
-    def side_exit_hit_rate(self) -> float:
-        """Fraction of root-guard side exits served by a compiled child."""
-        return self.side_exit_replays / self.side_exits if self.side_exits else 0.0
-
-    @property
-    def tree_depth(self) -> int:
-        """Deepest compiled trace-tree node (0 = straight-line roots only)."""
-        return max(self.tree_nodes) if self.tree_nodes else 0
 
 
 REPLAY_METER = ReplayMeter()
@@ -731,11 +700,11 @@ def _compile(
     values: every input predicate that entered all-true is assumed
     all-true at replay too, so its merges and masked memory legs drop
     out of the emitted code.  A regime guard protects the assumption
-    (straight-line programs decline with ``None``; loop kernels take a
-    side exit), which is what turns a guard failure into a trace-tree
-    branch point instead of a silent wrong answer.  ``spec`` passes a
-    previously computed regime set explicitly (used when re-emitting
-    the same recording as a loop kernel).
+    (straight-line programs decline with ``None``; loop kernels exit
+    with ``ex = 1``), so a guard failure sends the pending block to the
+    interpreter instead of giving a silent wrong answer.  ``spec``
+    passes a previously computed regime set explicitly (used when
+    re-emitting the same recording as a loop kernel).
 
     ``loop`` wraps the block in its own ``ptest_spec`` guard loop: the
     emitted function drives guard + body + state rebinding until the
@@ -1419,7 +1388,7 @@ def _compile(
 
     env.update(rec.env)  # late bakes from bsrc / rcount masks
     # Non-escaping slots (not handed in, not handed back, not external)
-    # are the backend's to manage: the optimizer may retarget their
+    # are the emitter's to manage: the optimizer may retarget their
     # computes into arena scratch storage.  Escaping slots keep their
     # freshly allocated arrays — callers hold them across kernel calls.
     out_set = set(out_slots)
@@ -1437,11 +1406,8 @@ def _compile(
         if slot in out_set:
             outs.add(slot)
     ir = KernelIR(head, body, tail, env, temps, loop, outs=frozenset(outs))
-    backend = resolve_backend(getattr(rec.machine, "jit_backend", None))
-    fn = backend.emit(ir)
     return RecordedProgram(
-        fn, len(rec.ops), ir.source, rec, out_slots, spec,
-        backend=backend.name,
+        emit(ir), len(rec.ops), ir.source, rec, out_slots, spec
     )
 
 
@@ -1527,19 +1493,18 @@ class RecordedProgram:
     for the compiled fast path to be exact.  A generic program has an
     empty regime.  Specialised programs self-protect — the compiled
     head declines (returns ``None``) when the regime is violated — but
-    callers normally pre-check the regime so the violation routes to a
-    side-exit trace instead of the interpreter.
+    callers normally pre-check the regime and meter the violation as a
+    side exit before interpreting the block.
     """
 
     __slots__ = ("_fn", "n_ops", "source", "rec", "out_slots",
-                 "spec_slots", "spec_positions", "backend")
+                 "spec_slots", "spec_positions")
 
     def __init__(self, fn, n_ops: int, source: str, rec=None, out_slots=(),
-                 spec=frozenset(), backend="numpy") -> None:
+                 spec=frozenset()) -> None:
         self._fn = fn
         self.n_ops = n_ops
         self.source = source
-        self.backend = backend
         self.rec = rec
         self.out_slots = tuple(out_slots)
         self.spec_slots = frozenset(spec)
@@ -1578,40 +1543,6 @@ def capture(machine, fn, regs=(), scalars=(), specialize=False):
     return outs, prog
 
 
-def _default_warmup() -> int:
-    """Warmup threshold: block executions profiled (interpreted) before
-    a trace is captured, from ``REPRO_REPLAY_WARMUP`` (default 1 =
-    capture on first execution).  The same threshold gates side-exit
-    capture on a root trace's ``exit_count``."""
-    try:
-        return max(1, int(os.environ.get("REPRO_REPLAY_WARMUP", "1")))
-    except ValueError:
-        return 1
-
-
-class TraceNode:
-    """One compiled trace in a trace tree.
-
-    ``prog`` is the straight-line program for the node's regime (the
-    root may be regime-specialised; children are generic), ``depth``
-    its distance from the root, ``exit_count`` the profile counter for
-    regime-guard failures (gates side-exit capture behind the warmup
-    threshold), ``child`` the side-exit trace (``None`` = not captured
-    yet, ``False`` = capture failed, don't retry), and ``loop_fn`` the
-    lazily compiled loop-in-kernel form (``None`` = not compiled yet,
-    ``False`` = this block cannot be loop-compiled).
-    """
-
-    __slots__ = ("prog", "depth", "exit_count", "child", "loop_fn")
-
-    def __init__(self, prog: RecordedProgram, depth: int) -> None:
-        self.prog = prog
-        self.depth = depth
-        self.exit_count = 0
-        self.child = None
-        self.loop_fn = None
-
-
 def _compile_loop(prog: RecordedProgram):
     """Re-emit a recorded block as a guard-looping kernel, or ``False``
     when the block does not fit the carried-state contract (three
@@ -1642,40 +1573,32 @@ def _compile_loop(prog: RecordedProgram):
 
 
 class ReplaySession:
-    """Tiered capture/replay wrapper for a loop-body step.
+    """Capture/replay wrapper for a loop-body step.
 
     ``body(machine, st)`` must be a straight-line block over the carried
     state ``st`` (``.v``/``.h``/``.inb`` registers — the shared
-    ``ChunkState`` shape).  Executions below the warmup threshold are
-    profiled (interpreted); the block is then captured and replayed as
-    one compiled program.  The machine's loop branch (``ptest_spec``)
-    stays outside :meth:`step` — that is the guard point where
-    data-dependent exits split the trace.
-
-    With ``VectorMachine.use_trace_trees`` on, the first capture is
-    *regime-specialised*: input predicates that entered all-true compile
-    to merge-free fast paths behind a regime guard.  When that guard
-    later fails (a WFA mismatch tail, a SneakySnake early exit), the
-    failure is a **side exit**: the divergent path is captured on its
-    next hot execution as a generic child trace, so the tail keeps
-    executing fused kernels instead of dropping to the interpreter.
-    :meth:`run_loop` additionally compiles the surrounding guard loop
-    into the kernel itself (one Python call per regime segment).
+    ``ChunkState`` shape).  The first execution is captured as one
+    *regime-specialised* program: input predicates that entered all-true
+    compile to merge-free fast paths behind a regime guard.  Later
+    executions replay it while the regime holds; when the guard fails (a
+    WFA mismatch tail, a SneakySnake early exit) the pending block is
+    interpreted and metered as a side exit.  The machine's loop branch
+    (``ptest_spec``) stays outside :meth:`step`; :meth:`run_loop`
+    compiles it into the kernel instead (one Python call per regime
+    segment).
     """
 
-    __slots__ = ("machine", "body", "name", "warmup", "_prog", "_broken",
-                 "_root", "_execs")
+    __slots__ = ("machine", "body", "name", "_prog", "_broken", "_loop_fn")
 
-    def __init__(self, machine, body, name: str = "block",
-                 warmup: "int | None" = None) -> None:
+    def __init__(self, machine, body, name: str = "block") -> None:
         self.machine = machine
         self.body = body
         self.name = name
-        self.warmup = _default_warmup() if warmup is None else max(1, int(warmup))
         self._prog = None
         self._broken = False
-        self._root = None
-        self._execs = 0
+        #: Loop-in-kernel form of ``_prog`` (``None`` = not compiled
+        #: yet, ``False`` = this block cannot be loop-compiled).
+        self._loop_fn = None
 
     @staticmethod
     def enabled(machine) -> bool:
@@ -1690,13 +1613,13 @@ class ReplaySession:
             return False
         return machine.use_replay and machine.use_batched_memory
 
-    # -- trace-tree plumbing -------------------------------------------
     @staticmethod
     def _regime_ok(prog: RecordedProgram, st) -> bool:
-        regs = (st.v, st.h, st.inb)
-        for j in prog.spec_positions:
-            if not bool(regs[j].data.all()):
-                return False
+        if prog.spec_positions:
+            regs = (st.v, st.h, st.inb)
+            for j in prog.spec_positions:
+                if not bool(regs[j].data.all()):
+                    return False
         return True
 
     def _interpret(self, st, n_ops: int = 0) -> None:
@@ -1705,83 +1628,32 @@ class ReplaySession:
         if n_ops:
             REPLAY_METER.interpreted_instructions += n_ops
 
-    def _capture_fn(self, st):
+    def _capture(self, st) -> None:
         def fn(rm, v, h, inb):
             st.v, st.h, st.inb = v, h, inb
             self.body(rm, st)
             return (st.v, st.h, st.inb)
 
-        return fn
-
-    def _capture_root(self, st) -> None:
-        m = self.machine
-        trees = m.use_trace_trees
         _outs, prog = capture(
-            m, self._capture_fn(st), (st.v, st.h, st.inb), specialize=trees
+            self.machine, fn, (st.v, st.h, st.inb), specialize=True
         )
         if prog is None:
             self._broken = True
-            return
-        self._prog = prog
-        if trees:
-            self._root = TraceNode(prog, 0)
-            REPLAY_METER.tree_nodes[0] = REPLAY_METER.tree_nodes.get(0, 0) + 1
+        else:
+            self._prog = prog
 
-    def _capture_child(self, st, root: TraceNode) -> None:
-        _outs, prog = capture(
-            self.machine, self._capture_fn(st), (st.v, st.h, st.inb)
-        )
-        if prog is None:
-            root.child = False
-            return
-        node = TraceNode(prog, root.depth + 1)
-        root.child = node
-        REPLAY_METER.side_exit_traces += 1
-        REPLAY_METER.tree_nodes[node.depth] = (
-            REPLAY_METER.tree_nodes.get(node.depth, 0) + 1
-        )
-
-    def _exec_partial(self, st, root: TraceNode) -> None:
-        """Run the one pending block execution after a side exit: the
-        compiled child trace when there is one, otherwise interpret (and
-        capture the child once the exit is past its warmup)."""
-        m = self.machine
-        child = root.child
-        if isinstance(child, TraceNode):
-            t0 = _pc()
-            outs = child.prog._fn(m, (st.v, st.h, st.inb), ())
-            REPLAY_METER.kernel_run_s += _pc() - t0
-            if outs is None:
-                self._interpret(st, child.prog.n_ops)
-                return
-            st.v, st.h, st.inb = outs
-            REPLAY_METER.replayed_blocks += 1
-            REPLAY_METER.replayed_instructions += child.prog.n_ops
-            REPLAY_METER.side_exit_replays += 1
-            return
-        if child is False:
-            self._interpret(st)
-            return
-        if root.exit_count < self.warmup:
-            REPLAY_METER.warmup_skips += 1
-            self._interpret(st)
-            return
-        self._capture_child(st, root)
+    def _side_exit(self, st) -> None:
+        """The regime guard failed: interpret the pending block."""
+        REPLAY_METER.side_exits += 1
+        self._interpret(st, self._prog.n_ops)
 
     def fleet_prog(self, st) -> "RecordedProgram | None":
-        """The program matching ``st``'s current regime, for the fleet
-        executor: the root when its regime holds, the side-exit child
-        once one is compiled, else ``None`` (run this row serially so
-        :meth:`step` can profile / capture the exit)."""
+        """The program the fleet executor may fuse for ``st``: the
+        captured one while its regime holds, else ``None`` (run this row
+        serially so :meth:`step` can capture or take the side exit)."""
         prog = self._prog
-        if prog is None or not prog.spec_positions:
+        if prog is not None and self._regime_ok(prog, st):
             return prog
-        if self._regime_ok(prog, st):
-            return prog
-        root = self._root
-        child = root.child if root is not None else None
-        if isinstance(child, TraceNode):
-            return child.prog
         return None
 
     # -- execution ------------------------------------------------------
@@ -1796,19 +1668,10 @@ class ReplaySession:
             return
         prog = self._prog
         if prog is None:
-            self._execs += 1
-            if self._execs < self.warmup:
-                REPLAY_METER.warmup_skips += 1
-                self._interpret(st)
-                return
-            self._capture_root(st)
+            self._capture(st)
             return
-        root = self._root
-        if (root is not None and prog.spec_positions
-                and not self._regime_ok(prog, st)):
-            REPLAY_METER.side_exits += 1
-            root.exit_count += 1
-            self._exec_partial(st, root)
+        if not self._regime_ok(prog, st):
+            self._side_exit(st)
             return
         t0 = _pc()
         outs = prog._fn(m, (st.v, st.h, st.inb), ())
@@ -1824,49 +1687,22 @@ class ReplaySession:
 
     def run_loop(self, st) -> None:
         """Drive ``while machine.ptest_spec(st.inb): step(st)`` to
-        completion.  With trace trees on, whole regime segments run as
+        completion.  While the regime holds, whole segments run as
         loop-in-kernel calls (guard + body + rebinding compiled
-        together, the external-register guard hoisted to entry);
-        otherwise this is exactly the interpreted guard loop."""
+        together, the external-register guard hoisted to entry)."""
         m = self.machine
-        if (self._broken
-                or not (m.use_replay and m.use_batched_memory)
-                or not m.use_trace_trees):
-            while m.ptest_spec(st.inb):
-                self.step(st)
-            return
+        replay = m.use_replay and m.use_batched_memory
         while True:
-            root = self._root
-            if root is None:
-                # Warmup / capture (or a pre-trees legacy program in
-                # ``_prog``): interpret the guard, step the block.
-                if not m.ptest_spec(st.inb):
-                    return
-                self.step(st)
-                if self._broken:
-                    while m.ptest_spec(st.inb):
-                        self.step(st)
-                    return
-                continue
-            node = root
-            if root.prog.spec_positions and not self._regime_ok(root.prog, st):
-                child = root.child
-                if isinstance(child, TraceNode):
-                    node = child
-                else:
-                    # Side exit with no compiled child yet: interpreted
-                    # guard, one pending block via the side-exit path.
-                    if not m.ptest_spec(st.inb):
-                        return
-                    REPLAY_METER.total_blocks += 1
-                    REPLAY_METER.side_exits += 1
-                    root.exit_count += 1
-                    self._exec_partial(st, root)
-                    continue
-            fn = node.loop_fn
-            if fn is None:
-                fn = node.loop_fn = _compile_loop(node.prog)
-            if fn is False:
+            prog = self._prog
+            fn = None
+            if replay and prog is not None and self._regime_ok(prog, st):
+                fn = self._loop_fn
+                if fn is None:
+                    fn = self._loop_fn = _compile_loop(prog)
+            if not fn:
+                # Replay off, capture, broken block, regime side exit,
+                # or a block that cannot loop-compile: interpreted
+                # guard, then one step.
                 if not m.ptest_spec(st.inb):
                     return
                 self.step(st)
@@ -1880,7 +1716,7 @@ class ReplaySession:
                 if not m.ptest_spec(st.inb):
                     return
                 REPLAY_METER.total_blocks += 1
-                self._interpret(st, node.prog.n_ops)
+                self._interpret(st, prog.n_ops)
                 continue
             st.v, st.h, st.inb = res[0], res[1], res[2]
             ex = res[3]
@@ -1889,13 +1725,11 @@ class ReplaySession:
             REPLAY_METER.loop_iters += nb
             REPLAY_METER.total_blocks += nb
             REPLAY_METER.replayed_blocks += nb
-            REPLAY_METER.replayed_instructions += nb * node.prog.n_ops
+            REPLAY_METER.replayed_instructions += nb * prog.n_ops
             if not ex:
                 return
             # Regime side exit: the guard passed inside the kernel but
-            # the body did not run — execute the pending block on the
-            # side-exit path, then resume at the next guard point.
+            # the body did not run — interpret the pending block, then
+            # resume at the next guard point.
             REPLAY_METER.total_blocks += 1
-            REPLAY_METER.side_exits += 1
-            root.exit_count += 1
-            self._exec_partial(st, root)
+            self._side_exit(st)

@@ -125,32 +125,6 @@ class TestProfileBench:
             bench.profile_bench(top=5, quick=True, only=["nope"])
 
 
-class TestTraceTreeWorkload:
-    @pytest.fixture(scope="class")
-    def tree_report(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "tracetree.json"
-        return bench.run_bench(quick=True, out=out, only=["trace_tree"])
-
-    def test_cell_present_and_identical(self, tree_report):
-        cell = tree_report["workloads"]["trace_tree"]
-        assert cell["dimension"] == "tracetree"
-        assert cell["stats_identical"]
-        assert cell["serial_s"] > 0 and cell["batched_s"] > 0
-
-    def test_tracetree_dimension_is_speed_gated(self):
-        report = {
-            "workloads": {
-                "trace_tree": {
-                    "reps": 1, "serial_s": 0.1, "batched_s": 0.2,
-                    "speedup": 0.5, "stats_identical": True,
-                    "dimension": "tracetree",
-                },
-            }
-        }
-        failures = bench.check_report(report, gate="trace_tree")
-        assert any("slower than serial" in f for f in failures)
-
-
 class TestCheckRegression:
     def report(self, quick, speedup):
         return {

@@ -21,27 +21,19 @@ must also reproduce that baseline, on the standard batch and on a
 divergence-heavy batch (mixed lengths and error rates, so fleet rows
 retire from fused groups at different rounds and regroup).
 
-The trace-tree JIT adds a third axis: every cell of
+The trace-tree path of the replay JIT (regime-specialised captures,
+loop-in-kernel execution, interpreted side exits) adds a third axis:
+every cell of
 
-    {use_trace_trees} x {use_batched_memory} x {jobs 1/2}
+    {use_batched_memory} x {jobs 1/2}
 
-with replay on must reproduce the baseline on both batch kinds — the
-divergence-heavy batch is the one that actually takes side exits and
-compiles child traces.  Every cell additionally asserts the replay
-meter's conservation invariant: captures + replayed + interpreted +
-broken must equal the total metered block executions.
+with replay on must reproduce the fleet baseline on both batch kinds —
+the divergence-heavy batch is the one that actually takes side exits.
+Every cell additionally asserts the replay meter's conservation
+invariant: captures + replayed + interpreted + broken must equal the
+total metered block executions.
 
-The codegen backends add a fourth axis: with replay and batched memory
-on, every registered backend name in
-
-    {numpy, numpy-opt, numba} x {use_trace_trees}
-
-must reproduce the baseline on both batch kinds.  The ``numba`` cells
-run even when numba is not importable — the documented behaviour is a
-metered fallback to ``numpy-opt``, so with the dependency absent those
-cells double as proof that the fallback is bit-exact.
-
-The vectorized memory-model engine adds a fifth axis: every cell of
+The vectorized memory-model engine adds a fourth axis: every cell of
 
     {use_vectorized_memory} x {use_batched_memory} x {fleet 1/4}
 
@@ -50,9 +42,9 @@ memvec engines (pattern memoization, phase-split retirement, the fleet
 fallback coalescing) sit underneath the batched hierarchy paths and
 the fleet executor, so those are the axes that can disturb them.
 
-The alignment service adds a sixth axis: every cell of
+The alignment service adds a fifth axis: every fleet width in
 
-    {fleet 1/4} x {jit backend numpy/numpy-opt}
+    {fleet 1/4}
 
 executed through the serve engine (parsed requests, the production
 serve toggles: replay + batched memory on) must produce response
@@ -78,7 +70,6 @@ from repro.eval import records
 from repro.eval.runner import run_implementation
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.genomics.generator import ErrorProfile, ReadPairGenerator
-from repro.vector.backends import BACKEND_NAMES
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER
 
@@ -117,22 +108,18 @@ def assert_meter_conserved():
     ), f"meter conservation violated: {REPLAY_METER.snapshot()}"
 
 
-def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs,
-             trees=None):
+def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs):
     """One grid cell on fresh machines, with the toggles as class state.
 
     Class attributes (not instance state) are what worker processes
     inherit under fork, so this exercises exactly the production
     propagation path; ``auto_trace`` mirrors the ``REPRO_TRACE``
-    environment knob.  ``trees=None`` leaves ``use_trace_trees`` at the
-    process default.
+    environment knob.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VectorMachine, "use_batched_memory", use_batched_memory)
         mp.setattr(VectorMachine, "use_replay", use_replay)
         mp.setattr(VectorMachine, "auto_trace", trace)
-        if trees is not None:
-            mp.setattr(VectorMachine, "use_trace_trees", trees)
         sig = signature(
             run_implementation(impl_cls(), batch, jobs=jobs, shard_size=1)
         )
@@ -253,57 +240,26 @@ def test_fleet_cell_matches_baseline(name, cell, kind):
     assert got[3] == expected[3], "alignment outputs diverged"
 
 
-#: (use_trace_trees, use_batched_memory, jobs) — replay on throughout.
-TREE_GRID = list(itertools.product((False, True), (False, True), (1, 2)))
+#: (use_batched_memory, jobs) — replay on throughout.
+TREE_GRID = list(itertools.product((False, True), (1, 2)))
 
 
 def tree_cell_id(cell):
-    return (
-        f"{'trees' if cell[0] else 'notrees'}-"
-        f"{'batched' if cell[1] else 'serialmem'}-j{cell[2]}"
-    )
+    return f"trees-{'batched' if cell[0] else 'serialmem'}-j{cell[1]}"
 
 
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
 @pytest.mark.parametrize("name", sorted(IMPLS))
 @pytest.mark.parametrize("cell", TREE_GRID, ids=tree_cell_id)
 def test_tracetree_cell_matches_baseline(name, cell, kind):
-    trees, batched, jobs = cell
+    batched, jobs = cell
     if jobs > 1 and not HAS_FORK:
         pytest.skip("pooled cells need the fork start method")
     expected = fleet_baseline_for(name, kind)
     got = run_cell(
         fleet_impl(name), _fleet_batches[(name, kind)],
-        batched, True, False, jobs, trees=trees,
+        batched, True, False, jobs,
     )
-    assert got[0] == expected[0], "per-pair cycle counts diverged"
-    assert got[1] == expected[1], "per-pair instruction counts diverged"
-    assert got[2] == expected[2], "machine statistics diverged"
-    assert got[3] == expected[3], "alignment outputs diverged"
-
-
-#: (jit backend, use_trace_trees) — replay + batched memory on
-#: throughout, jobs=1 (backend choice is per-process state; the pooled
-#: propagation path is already covered by the other axes).
-BACKEND_GRID = list(itertools.product(BACKEND_NAMES, (False, True)))
-
-
-def backend_cell_id(cell):
-    return f"{cell[0]}-{'trees' if cell[1] else 'notrees'}"
-
-
-@pytest.mark.parametrize("kind", ("standard", "divergent"))
-@pytest.mark.parametrize("name", sorted(IMPLS))
-@pytest.mark.parametrize("cell", BACKEND_GRID, ids=backend_cell_id)
-def test_backend_cell_matches_baseline(name, cell, kind):
-    backend, trees = cell
-    expected = fleet_baseline_for(name, kind)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VectorMachine, "jit_backend", backend)
-        got = run_cell(
-            fleet_impl(name), _fleet_batches[(name, kind)],
-            True, True, False, 1, trees=trees,
-        )
     assert got[0] == expected[0], "per-pair cycle counts diverged"
     assert got[1] == expected[1], "per-pair instruction counts diverged"
     assert got[2] == expected[2], "machine statistics diverged"
@@ -346,12 +302,12 @@ def test_memvec_cell_matches_baseline(name, cell, kind):
     assert got[3] == expected[3], "alignment outputs diverged"
 
 
-#: (fleet width, jit backend) — the serve axis: the alignment service's
-#: compute path (AlignRequest -> ServeEngine -> per-request response
-#: records) must land byte-for-byte on the same per-pair results as the
-#: all-off interpreted serial baseline, with replay and batched memory
-#: on — the production serve configuration.
-SERVE_GRID = list(itertools.product((1, 4), ("numpy", "numpy-opt")))
+#: Fleet widths of the serve axis: the alignment service's compute path
+#: (AlignRequest -> ServeEngine -> per-request response records) must
+#: land byte-for-byte on the same per-pair results as the all-off
+#: interpreted serial baseline, with replay and batched memory on — the
+#: production serve configuration.
+SERVE_FLEETS = (1, 4)
 
 
 def serve_requests(name, kind):
@@ -400,23 +356,17 @@ def serve_expected_lines(name, kind):
     return _serve_expected[key]
 
 
-def serve_cell_id(cell):
-    return f"fleet{cell[0]}-{cell[1]}"
-
-
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
 @pytest.mark.parametrize("name", sorted(IMPLS))
-@pytest.mark.parametrize("cell", SERVE_GRID, ids=serve_cell_id)
-def test_serve_cell_matches_baseline(name, cell, kind):
+@pytest.mark.parametrize("fleet", SERVE_FLEETS, ids=lambda w: f"fleet{w}")
+def test_serve_cell_matches_baseline(name, fleet, kind):
     from repro.serve.engine import ServeEngine, ServeEngineConfig
     from repro.serve.protocol import canonical_encode
 
-    fleet, backend = cell
     expected = fleet_baseline_for(name, kind)
     expected_lines = serve_expected_lines(name, kind)
     requests = serve_requests(name, kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VectorMachine, "jit_backend", backend)
         mp.setattr(VectorMachine, "use_batched_memory", True)
         mp.setattr(VectorMachine, "use_replay", True)
         engine = ServeEngine(ServeEngineConfig(workers=0, fleet=fleet))

@@ -4,9 +4,9 @@ identically to the batch path.
 Each cell starts a real asyncio server on a unix socket, drives it with
 the open-loop client, and compares every response line byte-for-byte
 against :func:`repro.serve.client.batch_reference_records` (the batch-
-CLI-equivalent answer, computed at fleet width 1).  The grid crosses
+CLI-equivalent answer, computed at fleet width 1).  The grid covers
 
-    {fleet 1/4} x {jit backend numpy/numpy-opt}
+    {fleet 1/4}
 
 on a standard batch and on a divergence-heavy batch (mixed lengths and
 error rates, so fleet rows retire mid-group), with the request stream
@@ -19,7 +19,6 @@ sent, across coalesced batches and implementations.
 """
 
 import asyncio
-import itertools
 
 import pytest
 
@@ -28,11 +27,9 @@ from repro.serve.client import batch_reference_records, open_loop
 from repro.serve.engine import ServeEngineConfig
 from repro.serve.protocol import AlignRequest
 from repro.serve.server import AlignmentServer, ServeConfig
-from repro.vector.machine import VectorMachine
 
-#: (fleet width, jit backend) — the service must be width- and
-#: backend-invariant, byte for byte.
-GRID = list(itertools.product((1, 4), ("numpy", "numpy-opt")))
+#: Fleet widths — the service must be width-invariant, byte for byte.
+FLEETS = (1, 4)
 
 
 def standard_pairs():
@@ -71,8 +68,8 @@ _references: dict = {}
 
 def reference_for(kind):
     """Batch reference lines, computed once per batch kind (responses
-    are backend- and width-invariant — the grid cells prove exactly
-    that by all comparing against this one reference)."""
+    are width-invariant — the grid cells prove exactly that by all
+    comparing against this one reference)."""
     if kind not in _references:
         _references[kind] = batch_reference_records(
             make_requests(kind), fleet=1
@@ -102,15 +99,9 @@ def run_server(requests, fleet, sock, rate=500.0, **config_overrides):
     return asyncio.run(go())
 
 
-def cell_id(cell):
-    return f"fleet{cell[0]}-{cell[1]}"
-
-
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
-@pytest.mark.parametrize("cell", GRID, ids=cell_id)
-def test_server_matches_batch_byte_for_byte(tmp_path, monkeypatch, kind, cell):
-    fleet, backend = cell
-    monkeypatch.setattr(VectorMachine, "jit_backend", backend)
+@pytest.mark.parametrize("fleet", FLEETS, ids=lambda w: f"fleet{w}")
+def test_server_matches_batch_byte_for_byte(tmp_path, kind, fleet):
     requests = make_requests(kind)
     expected = reference_for(kind)
     report, counters = run_server(

@@ -352,7 +352,7 @@ class TestServeCommand:
         for flag in (
             "--unix", "--port", "--stdio", "--max-batch", "--max-wait",
             "--rate", "--burst", "--max-pending", "--workers", "--fleet",
-            "--journal", "--fault-plan", "--smoke", "--jit-backend",
+            "--journal", "--fault-plan", "--smoke",
         ):
             assert flag in out
 

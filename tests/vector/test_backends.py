@@ -1,8 +1,8 @@
-"""Codegen-backend tests: identity across backends, the persistent
-kernel cache, the numba fallback ladder, and the optimizer passes.
+"""Kernel-emitter tests: identity with the interpreter, the persistent
+kernel cache, and the optimizer passes.
 
-The identity contract mirrors ``test_program``: for every registered
-backend, a replayed run must be *bit-identical* to the interpreter —
+The identity contract mirrors ``test_program``: a replayed run through
+the optimizing emitter must be *bit-identical* to the interpreter —
 register values, ``MachineStats``, the clock, and the tracer event
 totals.  On top of that this module pins the cache behaviour (warm hits
 with zero recompiles, corruption tolerance) and the arena's zero-alloc
@@ -22,19 +22,14 @@ from repro.cache import CALIBRATION
 from repro.config import SystemConfig
 from repro.vector import kernel_cache
 from repro.vector.backends import (
+    _MEMORY,
     ARENA,
     CODEGEN_METER,
-    DEFAULT_BACKEND,
-    NumbaBackend,
-    _BACKENDS,
     _fast_imem,
     _fuse_ctz,
-    _guarded_jit,
     _helpers_env,
     _make_fast_imem,
     _share_tolist,
-    available_backends,
-    resolve_backend,
 )
 from repro.vector.machine import VectorMachine, _ctz_values
 from repro.vector.program import ReplaySession
@@ -62,19 +57,16 @@ def _seed_state(m):
     return st
 
 
-def run_session(body_factory, backend, iters=5, loop=False):
+def run_session(body_factory, replay=True, iters=5, loop=False):
     """Drive ``body_factory(buf) -> body(mm, st)`` through a
-    :class:`ReplaySession`; ``backend=None`` means pure interpretation.
+    :class:`ReplaySession`; ``replay=False`` means pure interpretation.
 
     Returns (clock, max_complete, stats snapshot, register values,
     tracer totals) — everything the identity contract covers.
     """
     m, buf = fresh_machine()
     tracer = m.attach_tracer(capacity=8192)
-    if backend is None:
-        m.use_replay = False
-    else:
-        m.jit_backend = backend
+    m.use_replay = replay
     st = _seed_state(m)
     session = ReplaySession(m, body_factory(buf))
     for _ in range(iters):
@@ -97,14 +89,14 @@ def run_session(body_factory, backend, iters=5, loop=False):
     return m.clock, m._max_complete, m.snapshot(), values, totals
 
 
-def assert_backend_identical(body_factory, backend, iters=5, loop=False):
-    interp = run_session(body_factory, None, iters=iters, loop=loop)
-    replay = run_session(body_factory, backend, iters=iters, loop=loop)
-    assert interp[0] == replay[0], f"[{backend}] clock diverged"
-    assert interp[1] == replay[1], f"[{backend}] _max_complete diverged"
-    assert interp[2] == replay[2], f"[{backend}] MachineStats diverged"
-    assert interp[3] == replay[3], f"[{backend}] register values diverged"
-    assert interp[4] == replay[4], f"[{backend}] tracer totals diverged"
+def assert_replay_identical(body_factory, iters=5, loop=False):
+    interp = run_session(body_factory, False, iters=iters, loop=loop)
+    replay = run_session(body_factory, True, iters=iters, loop=loop)
+    assert interp[0] == replay[0], "clock diverged"
+    assert interp[1] == replay[1], "_max_complete diverged"
+    assert interp[2] == replay[2], "MachineStats diverged"
+    assert interp[3] == replay[3], "register values diverged"
+    assert interp[4] == replay[4], "tracer totals diverged"
 
 
 # ----------------------------------------------------------------------
@@ -136,23 +128,14 @@ def _loop_body(buf):
 
 
 # ----------------------------------------------------------------------
-# Identity across every registered backend
+# Identity with the interpreter
 # ----------------------------------------------------------------------
-class TestBackendIdentity:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_gather_block(self, backend):
-        assert_backend_identical(_gather_body, backend, iters=6)
+class TestEmitterIdentity:
+    def test_gather_block(self):
+        assert_replay_identical(_gather_body, iters=6)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_loop_in_kernel(self, backend):
-        assert_backend_identical(_loop_body, backend, iters=4, loop=True)
-
-    def test_unknown_backend_warns_and_uses_default(self):
-        with pytest.warns(RuntimeWarning, match="unknown jit backend"):
-            backend = resolve_backend("no-such-backend")
-        assert backend is _BACKENDS[DEFAULT_BACKEND]
-        # One-time warning: resolving again is silent.
-        assert resolve_backend("no-such-backend") is backend
+    def test_loop_in_kernel(self):
+        assert_replay_identical(_loop_body, iters=4, loop=True)
 
 
 def _plan_body(plan):
@@ -202,15 +185,14 @@ _OP = st.tuples(
 )
 
 
-class TestRandomProgramsAcrossBackends:
+class TestRandomPrograms:
     @settings(max_examples=12, deadline=None)
     @given(st.lists(_OP, min_size=3, max_size=12))
-    def test_every_backend_matches_the_interpreter(self, plan):
+    def test_emitted_kernels_match_the_interpreter(self, plan):
         factory = _plan_body(plan)
-        interp = run_session(factory, None, iters=4)
-        for backend in available_backends():
-            replay = run_session(factory, backend, iters=4)
-            assert interp == replay, f"backend {backend} diverged"
+        interp = run_session(factory, False, iters=4)
+        replay = run_session(factory, True, iters=4)
+        assert interp == replay, "emitted kernels diverged"
 
 
 # ----------------------------------------------------------------------
@@ -221,22 +203,19 @@ def disk_cache(tmp_path):
     """Point the shared disk switch at a scratch dir; restore after."""
     saved_dir = CALIBRATION.directory
     CALIBRATION.enable_disk(tmp_path / "cache")
-    saved_memory = {
-        name: dict(b._memory) for name, b in _BACKENDS.items()
-    }
+    saved_memory = dict(_MEMORY)
     try:
         yield tmp_path / "cache"
     finally:
         CALIBRATION.directory = saved_dir
-        for name, mem in saved_memory.items():
-            _BACKENDS[name]._memory.clear()
-            _BACKENDS[name]._memory.update(mem)
+        _MEMORY.clear()
+        _MEMORY.update(saved_memory)
 
 
 def _compiled_entry(source="d0 = 1\n"):
-    dig = kernel_cache.digest("numpy", 1, source)
+    dig = kernel_cache.digest(1, source)
     code = compile(source, "<kernel>", "exec")
-    kernel_cache.store(dig, "numpy", code, {"bufs": []})
+    kernel_cache.store(dig, code, {"bufs": []})
     return dig, kernel_cache._path(dig)
 
 
@@ -254,7 +233,7 @@ class TestKernelCacheCorruption:
         dig, path = _compiled_entry()
         CALIBRATION.disable_disk()
         assert kernel_cache.load(dig) is None
-        kernel_cache.store(dig, "numpy", compile("", "<k>", "exec"), {})
+        kernel_cache.store(dig, compile("", "<k>", "exec"), {})
 
     def test_truncated_entry(self, disk_cache):
         dig, path = _compiled_entry()
@@ -287,7 +266,7 @@ class TestKernelCacheCorruption:
     def test_digest_mismatch_rejected(self, disk_cache):
         # A payload copied under the wrong filename must not be served.
         dig, path = _compiled_entry()
-        other = kernel_cache.digest("numpy", 1, "d0 = 2\n")
+        other = kernel_cache.digest(1, "d0 = 2\n")
         path.rename(kernel_cache._path(other))
         with pytest.warns(RuntimeWarning, match="different cache format"):
             assert kernel_cache.load(other) is None
@@ -298,7 +277,6 @@ class TestKernelCacheCorruption:
             {
                 "format": kernel_cache._FORMAT,
                 "digest": dig,
-                "backend": "numpy",
                 "code": b"\xffnot bytecode",
                 "meta": {},
             }
@@ -307,27 +285,25 @@ class TestKernelCacheCorruption:
         with pytest.warns(RuntimeWarning, match="bad bytecode"):
             assert kernel_cache.load(dig) is None
 
-    def test_digest_separates_backends_and_versions(self):
+    def test_digest_separates_versions_and_sources(self):
         src = "d0 = 1\n"
         digs = {
-            kernel_cache.digest("numpy", 1, src),
-            kernel_cache.digest("numpy-opt", 1, src),
-            kernel_cache.digest("numpy-opt", 2, src),
-            kernel_cache.digest("numpy-opt", 2, src + "x = 0\n"),
+            kernel_cache.digest(1, src),
+            kernel_cache.digest(2, src),
+            kernel_cache.digest(2, src + "x = 0\n"),
         }
-        assert len(digs) == 4
+        assert len(digs) == 3
 
 
 class TestKernelCacheEndToEnd:
     def test_warm_cache_hits_without_recompiles(self, disk_cache):
-        _BACKENDS["numpy-opt"]._memory.clear()
-        first = run_session(_gather_body, "numpy-opt", iters=5)
-        assert CODEGEN_METER.backend == "numpy-opt"
+        _MEMORY.clear()
+        first = run_session(_gather_body, iters=5)
         # Simulate a new process: in-memory kernel cache gone, disk kept.
-        _BACKENDS["numpy-opt"]._memory.clear()
+        _MEMORY.clear()
         hits0 = CODEGEN_METER.kernel_cache_hits
         compiles0 = CODEGEN_METER.kernel_compiles
-        second = run_session(_gather_body, "numpy-opt", iters=5)
+        second = run_session(_gather_body, iters=5)
         assert second == first
         assert CODEGEN_METER.kernel_cache_hits > hits0
         assert CODEGEN_METER.kernel_compiles == compiles0, (
@@ -335,16 +311,16 @@ class TestKernelCacheEndToEnd:
         )
 
     def test_corrupted_entries_recompile_identically(self, disk_cache):
-        _BACKENDS["numpy-opt"]._memory.clear()
-        first = run_session(_gather_body, "numpy-opt", iters=5)
+        _MEMORY.clear()
+        first = run_session(_gather_body, iters=5)
         for entry in kernel_cache.kernel_dir().glob("k-*.bin"):
             raw = bytearray(entry.read_bytes())
             raw[len(raw) // 2] ^= 0x01
             entry.write_bytes(bytes(raw))
-        _BACKENDS["numpy-opt"]._memory.clear()
+        _MEMORY.clear()
         compiles0 = CODEGEN_METER.kernel_compiles
         with pytest.warns(RuntimeWarning, match="recompiling"):
-            second = run_session(_gather_body, "numpy-opt", iters=5)
+            second = run_session(_gather_body, iters=5)
         assert second == first
         assert CODEGEN_METER.kernel_compiles > compiles0
 
@@ -355,7 +331,6 @@ class TestKernelCacheEndToEnd:
 class TestArenaSteadyState:
     def test_zero_growth_when_warm(self):
         m, buf = fresh_machine()
-        m.jit_backend = "numpy-opt"
         st = _seed_state(m)
         session = ReplaySession(m, _gather_body(buf))
         for _ in range(3):  # capture + warm the arena
@@ -373,84 +348,6 @@ class TestArenaSteadyState:
         a = ARENA.lease(key, (7,), "int64")
         b = ARENA.lease(key, (7,), "int64")
         assert a is b and a.dtype == np.int64 and a.shape == (7,)
-
-
-# ----------------------------------------------------------------------
-# Numba ladder: injected jit, guarded segments, absent-numba fallback
-# ----------------------------------------------------------------------
-class TestNumbaLadder:
-    def test_identity_jit_lifts_segments(self, monkeypatch):
-        nb = NumbaBackend(jit=lambda fn: fn)
-        lowered = {}
-        orig = nb._lower
-
-        def spy(ir):
-            source, meta = orig(ir)
-            lowered[ir.source] = source
-            return source, meta
-
-        nb._lower = spy
-        monkeypatch.setitem(_BACKENDS, "numba", nb)
-
-        def alu_body(buf):
-            def body(m, st):
-                a = m.add(st.v, st.h, pred=None)
-                b = m.xor(a, st.v, pred=None)
-                c = m.and_(b, 4095, pred=None)
-                d = m.mul(c, 3, pred=None)
-                e = m.sub(d, a, pred=None)
-                st.h = m.or_(e, 1, pred=None)
-                st.v = m.add(st.v, 7)
-                st.inb = m.cmp("lt", st.v, 1 << 40)
-
-            return body
-
-        assert_backend_identical(alu_body, "numba", iters=5)
-        assert lowered, "numba backend never lowered a kernel"
-        assert any("_sg0" in src and "_nj(" in src for src in lowered.values()), (
-            "a 6-op pure ALU run must be lifted into a jitted segment"
-        )
-
-    def test_guarded_jit_pins_fallback_on_first_failure(self):
-        def exploding_jit(fn):
-            def boom(*args):
-                raise TypeError("nopython typing failed")
-
-            return boom
-
-        wrapped = _guarded_jit(exploding_jit)(lambda x: x + 1)
-        fallbacks0 = CODEGEN_METER.backend_fallbacks
-        assert wrapped(2) == 3
-        assert CODEGEN_METER.backend_fallbacks == fallbacks0 + 1
-        assert wrapped(5) == 6  # pinned: no second attempt, no second bump
-        assert CODEGEN_METER.backend_fallbacks == fallbacks0 + 1
-
-    def test_guarded_jit_pins_jitted_on_success(self):
-        calls = []
-
-        def counting_jit(fn):
-            def jitted(*args):
-                calls.append(args)
-                return fn(*args)
-
-            return jitted
-
-        wrapped = _guarded_jit(counting_jit)(lambda x: x * 2)
-        assert wrapped(3) == 6 and wrapped(4) == 8
-        assert len(calls) == 2
-
-    def test_missing_numba_falls_back_to_numpy_opt(self, monkeypatch):
-        nb = NumbaBackend()
-        nb._probed, nb._jit = True, None  # force "import failed"
-        monkeypatch.setitem(_BACKENDS, "numba", nb)
-        fallbacks0 = CODEGEN_METER.backend_fallbacks
-        interp = run_session(_gather_body, None, iters=4)
-        with pytest.warns(RuntimeWarning, match="falling back to numpy-opt"):
-            replay = run_session(_gather_body, "numba", iters=4)
-        assert replay == interp
-        assert CODEGEN_METER.backend_fallbacks > fallbacks0
-        assert CODEGEN_METER.backend == "numpy-opt"
-        assert "numba" not in available_backends()
 
 
 # ----------------------------------------------------------------------

@@ -163,15 +163,18 @@ class TestFusedOps:
 # ----------------------------------------------------------------------
 class TestRetirement:
     def test_mid_fleet_retirement(self):
-        # Lanes advance by 5 per live iteration and pairs start offset,
-        # so each pair's guard dies on a different step: the fleet must
-        # shrink pair by pair with no cross-pair contamination.
+        # All lanes of a pair advance in lockstep (v - 11 * lane is the
+        # pair's step count plus its row offset) and pairs start offset,
+        # so each pair's whole predicate dies on a different step while
+        # its regime stays all-active: the fleet must shrink pair by
+        # pair with no cross-pair contamination.
         def body(m, buf, s):
             idx = m.and_(s.v, 1023, pred=s.inb)
             g = m.gather64(buf, idx, pred=s.inb)
             s.h = m.xor(s.h, g, pred=s.inb)
-            s.v = m.add(s.v, 5, pred=s.inb)
-            s.inb = m.cmp("lt", s.v, 40, pred=s.inb)
+            s.v = m.add(s.v, 1, pred=s.inb)
+            steps = m.sub(s.v, m.iota(64, start=0, step=11), pred=s.inb)
+            s.inb = m.cmp("lt", steps, 10, pred=s.inb)
 
         before = REPLAY_METER.snapshot()
         assert_fleet_identical(body, n_pairs=4, iters=12)

@@ -1,14 +1,16 @@
-"""Trace-tree JIT identity and metering tests.
+"""Regime-guard and loop-in-kernel identity and metering tests.
 
-The tiered replay JIT (regime-specialised roots, compiled side-exit
-children, loop-in-kernel execution) promises bit-identical machine
+The replay JIT captures each block as one regime-specialised program,
+runs guard loops loop-in-kernel, and interprets the pending block when
+a regime guard fails (a side exit).  It promises bit-identical machine
 state — clock, ``_max_complete``, the full ``MachineStats`` snapshot,
-tracer totals, and register values — with trees on vs off, for any
-loop body with data-dependent guards.  This suite enforces that with a
-randomized property harness, asserts the acceptance meters (a WFA
-extend loop with a forced mismatch tail must execute at least one
-*compiled* side-exit trace), and pins the warmup-threshold and
-meter-conservation contracts.
+tracer totals, and register values — against ``use_replay=False``, for
+any loop body with data-dependent guards.  This suite enforces that
+with a randomized property harness, asserts the side-exit contract (a
+WFA extend loop with a forced mismatch tail interprets its failed
+blocks, meters them as ``side_exits``, and resumes loop-in-kernel on
+the next all-lanes segment), covers the fleet executor's serial
+fallback for rows whose regime fails, and pins meter conservation.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.vector.fleet import drive_fleet, drive_serial, session_step
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER, ReplaySession
 
@@ -36,12 +39,12 @@ def fresh_machine(trace=False):
 
 
 def run_loop_both(make_body, reps=3, trace=False):
-    """Drive ``session.run_loop`` with trees off and on; return both
+    """Drive ``session.run_loop`` interpreted and replayed; return both
     (clock, maxc, snapshot, values, tracer-totals) tuples."""
     results = []
-    for trees in (False, True):
+    for replay in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VectorMachine, "use_trace_trees", trees)
+            mp.setattr(VectorMachine, "use_replay", replay)
             m, buf, tracer = fresh_machine(trace)
             body, init = make_body(m, buf)
             session = ReplaySession(m, body)
@@ -73,7 +76,7 @@ def assert_identical(off, on):
     assert off[0] == on[0], f"clock diverged: {off[0]} != {on[0]}"
     assert off[1] == on[1], "_max_complete diverged"
     assert off[2] == on[2], (
-        f"stats diverged:\ntrees off {off[2]}\ntrees on  {on[2]}"
+        f"stats diverged:\ninterpreted {off[2]}\nreplayed    {on[2]}"
     )
     assert off[3] == on[3], "register values diverged"
     assert off[4] == on[4], "tracer totals diverged"
@@ -94,8 +97,8 @@ def conservation_delta(before):
 # ----------------------------------------------------------------------
 def staggered_body(m, buf):
     """Lanes retire at strongly staggered iteration counts, so every
-    rep has an all-active prefix (root regime) and a long partially
-    active tail (side exit)."""
+    rep has an all-active prefix (the captured regime) and a long
+    partially active tail (side exits)."""
     lanes = m.lanes(64)
     bounds = m.from_values(10 + 9 * np.arange(lanes), 64)
 
@@ -123,37 +126,38 @@ class TestDivergentIdentity:
     def test_tracer_totals_bit_identical(self):
         assert_identical(*run_loop_both(staggered_body, reps=3, trace=True))
 
-    def test_side_exit_trace_compiled_and_replayed(self):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VectorMachine, "use_trace_trees", True)
-            m, buf, _ = fresh_machine()
-            body, init = staggered_body(m, buf)
-            session = ReplaySession(m, body)
-            before = REPLAY_METER.snapshot()
-            for rep in range(4):
-                session.run_loop(init(rep))
-            d = conservation_delta(before)
-        assert d["side_exits"] >= 1, d
-        assert d["side_exit_traces"] >= 1, "no side-exit child compiled"
-        assert d["side_exit_replays"] >= 1, (
-            "side exits never ran the compiled child"
-        )
-        assert d["loop_calls"] >= 2, "loop-in-kernel never engaged"
+    def test_side_exits_interpret_then_loop_kernel_resumes(self):
+        m, buf, _ = fresh_machine()
+        body, init = staggered_body(m, buf)
+        session = ReplaySession(m, body)
+        before = REPLAY_METER.snapshot()
+        session.run_loop(init(0))  # capture, loop kernel, side exits
+        for rep in range(1, 4):
+            mark = REPLAY_METER.snapshot()
+            session.run_loop(init(rep))
+            d = REPLAY_METER.delta(mark)
+            # Each rep re-enters the all-active regime: the loop kernel
+            # runs again after the previous rep's side exits, and the
+            # partially active tail exits to the interpreter again.
+            assert d["loop_calls"] >= 1, d
+            assert d["loop_iters"] >= 1, d
+            assert d["side_exits"] >= 1, d
+            assert d["captures"] == 0, d
+        d = conservation_delta(before)
+        assert d["captures"] == 1, d
+        assert d["interpreted_blocks"] >= d["side_exits"] >= 4, d
         assert d["loop_iters"] > d["loop_calls"], d
-        assert d["tree_nodes"].get(1, 0) >= 1, "no depth-1 tree node"
-        assert REPLAY_METER.tree_depth >= 1
-        assert 0.0 < REPLAY_METER.side_exit_hit_rate <= 1.0
 
 
 # ----------------------------------------------------------------------
 # Acceptance meter: WFA extend with a forced mismatch tail
 # ----------------------------------------------------------------------
 class TestWfaExtendSideExit:
-    def test_forced_mismatch_tail_runs_compiled_side_exit(self):
+    def test_forced_mismatch_tail_interprets_side_exits(self):
         from repro.align.vectorized.extend_loop import ExtendConsts, vec_extend
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VectorMachine, "use_trace_trees", True)
+            mp.setattr(VectorMachine, "use_replay", True)
             m = VectorMachine(SystemConfig())
             length = 2048
             rng = np.random.default_rng(3)
@@ -178,20 +182,21 @@ class TestWfaExtendSideExit:
                 )
             m.barrier()
             d = conservation_delta(before)
-        assert d["side_exit_traces"] >= 1, (
-            f"forced mismatch tail compiled no side-exit trace: {d}"
+        assert d["side_exits"] >= 1, (
+            f"forced mismatch tail took no side exit: {d}"
         )
-        assert d["side_exit_replays"] >= 1, (
-            f"no compiled side-exit trace ever executed: {d}"
-        )
+        assert d["interpreted_blocks"] >= d["side_exits"], d
+        # Every extend call after the first starts all-lanes active, so
+        # the loop kernel resumes after the previous call's side exits.
+        assert d["loop_calls"] >= 5, d
 
     def test_forced_mismatch_tail_bit_identical(self):
         from repro.align.vectorized.extend_loop import ExtendConsts, vec_extend
 
         results = []
-        for trees in (False, True):
+        for replay in (False, True):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(VectorMachine, "use_trace_trees", trees)
+                mp.setattr(VectorMachine, "use_replay", replay)
                 m = VectorMachine(SystemConfig())
                 length = 2048
                 rng = np.random.default_rng(3)
@@ -217,11 +222,11 @@ class TestWfaExtendSideExit:
                 m.barrier()
                 results.append((m.clock, m._max_complete, m.snapshot(), outs))
         off, on = results
-        assert off == on, f"extend diverged with trees on:\n{off}\n{on}"
+        assert off == on, f"extend diverged with replay on:\n{off}\n{on}"
 
 
 # ----------------------------------------------------------------------
-# Randomized property: data-dependent guards, trees on vs off
+# Randomized property: data-dependent guards, interpreted vs replayed
 # ----------------------------------------------------------------------
 def _random_guarded_body(seed):
     rng = np.random.default_rng(seed)
@@ -282,60 +287,65 @@ class TestRandomGuardedPrograms:
 
 
 # ----------------------------------------------------------------------
-# Warmup threshold
+# Fleet executor: a row whose regime fails runs serially
 # ----------------------------------------------------------------------
-class TestWarmup:
-    def test_root_warmup_defers_capture(self):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VectorMachine, "use_trace_trees", True)
-            m, buf, _ = fresh_machine()
-            body, init = staggered_body(m, buf)
-            session = ReplaySession(m, body, warmup=3)
-            before = REPLAY_METER.snapshot()
-            s = init(0)
-            session.step(s)
-            session.step(s)
-            d = REPLAY_METER.delta(before)
-            assert d["warmup_skips"] == 2
-            assert d["captures"] == 0
-            assert d["interpreted_blocks"] == 2
-            session.step(s)  # third execution crosses the threshold
-            d = conservation_delta(before)
-            assert d["captures"] == 1
-            assert session._prog is not None
-
-    def test_warmup_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_WARMUP", "4")
+def staggered_fibers(n, reps):
+    """``n`` pairs on their own machines, each driving the staggered
+    body through ``session_step`` (the fleet request path)."""
+    fibers = []
+    for _ in range(n):
         m, buf, _ = fresh_machine()
-        body, _ = staggered_body(m, buf)
-        assert ReplaySession(m, body).warmup == 4
-        monkeypatch.delenv("REPRO_REPLAY_WARMUP")
-        assert ReplaySession(m, body).warmup == 1
+        body, init = staggered_body(m, buf)
+        session = ReplaySession(m, body)
 
-    def test_warmup_identical_to_no_warmup(self):
-        results = []
-        for warmup in (1, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(VectorMachine, "use_trace_trees", True)
-                m, buf, _ = fresh_machine()
-                body, init = staggered_body(m, buf)
-                session = ReplaySession(m, body, warmup=warmup)
-                for rep in range(3):
-                    session.run_loop(init(rep))
-                m.barrier()
-                results.append((m.clock, m._max_complete, m.snapshot()))
-        assert results[0] == results[1], "warmup threshold changed timing"
+        def fiber(m=m, session=session, init=init):
+            for rep in range(reps):
+                s = init(rep)
+                while m.ptest_spec(s.inb):
+                    yield session_step(session, s)
+            m.barrier()
+            return m.clock, m._max_complete, m.snapshot()
+
+        fibers.append(fiber())
+    return fibers
+
+
+class TestFleetRegimeFallback:
+    def test_regime_failure_is_not_fusable(self):
+        m, buf, _ = fresh_machine()
+        body, init = staggered_body(m, buf)
+        session = ReplaySession(m, body)
+        s = init(0)
+        session.step(s)  # capture under the all-active regime
+        assert session.fleet_prog(s) is session._prog
+        assert session_step(session, s).prog is session._prog
+        while s.inb.data.all():
+            session.step(s)
+        assert session.fleet_prog(s) is None
+        assert session_step(session, s).prog is None
+
+    def test_fleet_rows_on_side_exits_bit_identical(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", False)
+            expected = [drive_serial(f) for f in staggered_fibers(3, 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", True)
+            before = REPLAY_METER.snapshot()
+            got = drive_fleet(staggered_fibers(3, 3))
+            d = conservation_delta(before)
+        assert got == expected
+        assert d["fleet_batches"] >= 1, d
+        assert d["side_exits"] >= 1, d
+        assert d["fleet_serial"] >= d["side_exits"], d
 
 
 # ----------------------------------------------------------------------
 # Meter conservation across modes
 # ----------------------------------------------------------------------
 class TestMeterConservation:
-    @pytest.mark.parametrize("trees", (False, True))
     @pytest.mark.parametrize("replay", (False, True))
-    def test_conservation_over_modes(self, trees, replay):
+    def test_conservation_over_modes(self, replay):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VectorMachine, "use_trace_trees", trees)
             mp.setattr(VectorMachine, "use_replay", replay)
             m, buf, _ = fresh_machine()
             body, init = staggered_body(m, buf)
